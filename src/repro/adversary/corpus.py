@@ -22,20 +22,23 @@ A schedule file is one JSON document:
   interpreted on replay.
 
 Writing is canonical — sorted keys, fixed separators, trailing newline,
-atomic tmp-then-replace — so the fuzzer's determinism contract ("two runs,
-byte-identical files") holds at the byte level, and corpus diffs in review
-show real changes only.  Reading validates with
-:func:`~repro.net.chaos.validate_schedule`, so a hand-edited corpus entry
-that went structurally wrong fails loudly before a cluster boots.
+atomic and fsynced (:func:`repro.artefact.write_document`) — so the
+fuzzer's determinism contract ("two runs, byte-identical files") holds at
+the byte level, and corpus diffs in review show real changes only.
+Reading validates with :func:`~repro.net.chaos.validate_schedule`, so a
+hand-edited corpus entry that went structurally wrong fails loudly before
+a cluster boots.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..artefact import read_document, write_document
 from ..net.chaos import (
     ChaosSchedule,
     FaultEvent,
@@ -181,10 +184,6 @@ def schedule_from_doc(doc: Dict[str, Any]) -> ScheduleDoc:
     )
 
 
-def _canonical(doc: Dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def write_schedule(
     path: Path | str,
     schedule: ChaosSchedule,
@@ -196,22 +195,29 @@ def write_schedule(
     doc = schedule_to_doc(schedule, topology_spec=topology_spec, meta=meta)
     # Round-trip before committing bytes: a schedule we cannot read back is
     # a corpus entry CI can never replay.
-    schedule_from_doc(json.loads(_canonical(doc)))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(_canonical(doc), encoding="utf-8")
-    tmp.replace(path)
-    return path
+    schedule_from_doc(json.loads(json.dumps(doc)))
+    return write_document(path, doc, indent=1)
 
 
 def read_schedule(path: Path | str) -> ScheduleDoc:
     """Load + validate one schedule file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_document(
+        path, SCHEDULE_SOURCE, SCHEDULE_FORMAT_VERSION, tag="source"
+    )
     try:
         return schedule_from_doc(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def summarize_schedule(doc: ScheduleDoc) -> Iterator[str]:
+    """The ``repro stats`` summary of a schedule file."""
+    schedule = doc.schedule
+    yield (f"chaos schedule: {doc.topology_spec} seed={schedule.seed} "
+           f"duration {schedule.duration_s}s")
+    yield f"  link profiles: {len(schedule.profiles)}"
+    yield f"  fault events: {len(schedule.events)}"
+    for kind, count in sorted(Counter(e.kind for e in schedule.events).items()):
+        yield f"    {kind}: {count}"
+    if doc.meta:
+        yield f"  meta: {', '.join(sorted(doc.meta))}"

@@ -36,23 +36,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from ..artefact import canonical_json, read_jsonl, write_atomic
 
 FORMAT_VERSION = 2
 
 #: Format versions :func:`parse_line` accepts.
 ACCEPTED_FORMATS = (1, 2)
-
-#: JSON encoding used for every canonical artefact: stable across runs,
-#: machines, and dict-construction orders.
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
-
-
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON text for ``payload`` (sorted keys, compact)."""
-    return json.dumps(payload, **_CANONICAL)
 
 
 def shard_key(kind: str, params: Mapping[str, Any], seed: int) -> str:
@@ -181,9 +175,97 @@ def write_records(
     Used by the runner's finalize step so a finished campaign file is a
     deterministic function of its shard set, however execution interleaved.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for line in iter_lines(records, include_meta=include_meta):
-            handle.write(line + "\n")
-    tmp.replace(path)
+    write_atomic(path, iter_lines(records, include_meta=include_meta))
+
+
+def _shard_lines(kinds: Iterable[str], durations: List[float]) -> Iterator[str]:
+    for kind, count in sorted(Counter(kinds).items()):
+        yield f"  {kind}: {count} shards"
+    if durations:
+        yield (
+            f"  duration_s: total {sum(durations):.3f}, "
+            f"mean {sum(durations) / len(durations):.3f}, "
+            f"max {max(durations):.3f}"
+        )
+
+
+def summarize_records(records: List[TrialRecord]) -> Iterator[str]:
+    """The ``repro stats`` summary of a campaign records file."""
+    yield f"campaign records: {len(records)}"
+    yield from _shard_lines(
+        (record.kind for record in records),
+        [r.duration_s for r in records if r.duration_s is not None],
+    )
+
+
+# --------------------------------------------------------- campaign trace
+
+
+class CampaignTraceLog:
+    """``sweep --trace``: a JSONL log of shard completions with durations.
+
+    The campaign-granularity sibling of an engine trace: one header line,
+    then one line per completed shard in completion order — the timeline a
+    profiler wants, complementary to the key-ordered records file.  Each
+    line is flushed as it is written, so a killed sweep keeps its log.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w", encoding="utf-8")
+        self._write(
+            {"format": 1, "kind": "header", "source": "campaign-trace"}
+        )
+
+    def _write(self, payload: Dict[str, Any]) -> None:
+        self._handle.write(canonical_json(payload) + "\n")
+        self._handle.flush()
+
+    def wrap(self, inner):
+        def progress(record, done, total):
+            self._write(
+                {
+                    "kind": "shard",
+                    "index": done,
+                    "total": total,
+                    "key": record.key,
+                    "shard_kind": record.kind,
+                    "seed": record.seed,
+                    "duration_s": record.duration_s,
+                }
+            )
+            if inner is not None:
+                inner(record, done, total)
+
+        return progress
+
+    def close(self) -> None:
+        self._handle.close()
+
+
+def read_campaign_trace(
+    path: Path | str,
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]], int]:
+    """Parse a ``sweep --trace`` log leniently: ``(header, shards, skipped)``."""
+    return read_jsonl(
+        path, lambda row: row if row.get("kind") == "shard" else None
+    )
+
+
+def summarize_campaign_trace(
+    parsed: Tuple[Dict[str, Any], List[Dict[str, Any]], int],
+) -> Iterator[str]:
+    """The ``repro stats`` summary of a ``sweep --trace`` log."""
+    _header, shards, skipped = parsed
+    yield f"campaign trace: {len(shards)} shards"
+    yield from _shard_lines(
+        (str(shard.get("shard_kind", "?")) for shard in shards),
+        [
+            shard["duration_s"]
+            for shard in shards
+            if isinstance(shard.get("duration_s"), (int, float))
+        ],
+    )
+    if skipped:
+        yield f"  skipped lines: {skipped} (truncated or foreign)"

@@ -11,7 +11,7 @@ Subcommands
 ``sweep``      many-seed randomized campaign across a worker pool
 ``report``     run the experiment suite, emit markdown
 ``trace``      replay a recorded trace file offline; re-derive its summary
-``stats``      summarise a metrics / records / trace / BENCH / events artefact
+``stats``      summarise any artefact this toolkit writes (sniffs its kind)
 ``bench``      run the performance benchmark suite; write/compare BENCH files
 ``node``       serve one live cluster node (asyncio TCP daemon)
 ``cluster``    run/soak a live N-node cluster with chaos on localhost
@@ -533,6 +533,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .campaign import SweepSpec, aggregate_sim, run_shards
+    from .campaign.record import CampaignTraceLog
 
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
@@ -566,7 +567,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     progress = _campaign_progress(args)
-    trace_log = _CampaignTraceLog(args.trace) if args.trace else None
+    trace_log = CampaignTraceLog(args.trace) if args.trace else None
     if trace_log is not None:
         progress = trace_log.wrap(progress)
     try:
@@ -636,52 +637,6 @@ def _campaign_progress(args: argparse.Namespace):
     return progress
 
 
-class _CampaignTraceLog:
-    """``sweep --trace``: a JSONL log of shard completions with durations.
-
-    The campaign-granularity sibling of an engine trace: one header line,
-    then one line per completed shard in completion order — the timeline a
-    profiler wants, complementary to the key-ordered records file.
-    """
-
-    def __init__(self, path: str) -> None:
-        import pathlib
-
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w", encoding="utf-8")
-        self._write(
-            {"format": 1, "kind": "header", "source": "campaign-trace"}
-        )
-
-    def _write(self, payload: dict) -> None:
-        self._handle.write(
-            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        )
-        self._handle.flush()
-
-    def wrap(self, inner):
-        def progress(record, done, total):
-            self._write(
-                {
-                    "kind": "shard",
-                    "index": done,
-                    "total": total,
-                    "key": record.key,
-                    "shard_kind": record.kind,
-                    "seed": record.seed,
-                    "duration_s": record.duration_s,
-                }
-            )
-            if inner is not None:
-                inner(record, done, total)
-
-        return progress
-
-    def close(self) -> None:
-        self._handle.close()
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Replay a recorded trace offline: same probes, same summary."""
     from .obs import analyze, read_trace, write_analysis_metrics
@@ -747,8 +702,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         reconstruct_violations,
         write_timeline,
     )
-    from .obs.flight import FLIGHT_SOURCE
-    from .obs.tracing import SPANS_SOURCE
+    from .artefact import sniff
 
     spans_by_node: dict = {}
     for path in _span_paths(args.paths):
@@ -756,10 +710,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             span_file = read_spans(path)
         except OSError as exc:
             raise SystemExit(str(exc)) from None
-        if (
-            span_file.header.get("source") not in (SPANS_SOURCE, FLIGHT_SOURCE)
-            and not span_file.spans
-        ):
+        if not span_file.spans and sniff(path) not in ("spans", "flight"):
             raise SystemExit(f"{path}: not a span artefact")
         for span in span_file.spans:
             spans_by_node.setdefault(span.node, []).append(span)
@@ -917,357 +868,35 @@ def cmd_top(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Summarise any of the repository's artefacts by sniffing the file.
 
-    Recognises metrics JSONL, campaign records, trace JSONL, span logs,
-    merged timelines, cluster event logs, flight-recorder dumps, SLO
-    reports, loadgen reports, and BENCH JSON.  Anything else —
+    :func:`repro.artefact.sniff` names the kind; the kind's reader and
+    summary come from :data:`repro.artefact.KINDS`.  Anything else —
     including empty, binary, or truncated files — exits nonzero with a
     one-line reason, never a traceback.
     """
-    try:
-        return _stats(args.path)
-    except BrokenPipeError:
-        raise  # downstream pager closed; handled quietly in main()
-    except (OSError, UnicodeDecodeError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(f"{args.path}: unreadable artefact ({exc})") from None
+    from .artefact import KINDS, sniff
+    from .sim.errors import SimulationError
 
-
-def _stats(path: str) -> int:
-    from .campaign import read_records
-    from .obs import read_metrics
-
+    path = args.path
     if not os.path.exists(path):
         raise SystemExit(f"{path}: no such file")
     if os.path.isdir(path):
         raise SystemExit(f"{path}: is a directory, not an artefact file")
     if os.path.getsize(path) == 0:
         raise SystemExit(f"{path}: empty file")
-
-    bench = _try_bench(path)
-    if bench is not None:
-        env = bench.get("env", {})
-        benchmarks = bench["benchmarks"]
-        print(f"BENCH file: {len(benchmarks)} benchmarks")
-        for key in ("git_rev", "python", "platform", "cpu_count", "timestamp"):
-            if env.get(key) is not None:
-                print(f"  {key}: {env[key]}")
-        for name in sorted(benchmarks):
-            stats = benchmarks[name].get("stats", {})
-            print(
-                f"  {name}: median {stats.get('median_s')}s, "
-                f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s"
-            )
-        return 0
-
-    # Loadgen and SLO reports are also single JSON documents,
-    # distinguished by their ``kind`` tag.
-    loadgen = _try_loadgen(path)
-    if loadgen is not None:
-        spec = loadgen.get("spec") or {}
-        results = loadgen.get("results") or {}
-        lat = results.get("latency") or {}
-        fair = results.get("fairness") or {}
-        safety = results.get("safety") or {}
-        print(
-            f"loadgen report [{spec.get('engine', '?')}]: "
-            f"{spec.get('topology', '?')} seed={spec.get('seed', '?')} "
-            f"clients={spec.get('clients', '?')} "
-            f"mode={spec.get('mode', '?')}"
-        )
-        print(
-            f"  grants: {results.get('grants', 0)}, "
-            f"shed {results.get('shed_total', 0)}, "
-            f"retries {results.get('retries', 0)}, "
-            f"failures {results.get('failures', 0)}"
-        )
-        if lat.get("count"):
-            print(
-                f"  latency: p50={lat.get('p50_s')}s "
-                f"p99={lat.get('p99_s')}s p999={lat.get('p999_s')}s "
-                f"(n={lat.get('count')})"
-            )
-        print(
-            f"  fairness: grant_count_cv={fair.get('grant_count_cv')} "
-            f"granted={fair.get('clients_granted')}/"
-            f"{fair.get('clients_active')}"
-        )
-        if safety.get("mode") == "live":
-            verdict = "OK" if not safety.get("violations") else (
-                f"VIOLATED ({safety['violations']} overlaps)"
-            )
-            print(f"  safety: {verdict}")
-        per_node = results.get("per_node") or {}
-        for label in sorted(per_node):
-            doc = per_node[label]
-            print(
-                f"  node {label}: {doc.get('grants', 0)} grants, "
-                f"p99={doc.get('p99_s')}s"
-            )
-        return 0
-
-    slo_report = _try_slo_report(path)
-    if slo_report is not None:
-        verdict = "OK" if slo_report.get("ok") else "EXHAUSTED"
-        objectives = slo_report.get("objectives") or []
-        print(f"SLO report: {slo_report.get('spec', '?')} — {verdict} "
-              f"({len(objectives)} objectives, "
-              f"window {slo_report.get('duration_s')}s)")
-        for key, value in sorted(
-            (slo_report.get("observations") or {}).items()
-        ):
-            print(f"  {key}: {value}")
-        for row in objectives:
-            status = "ok" if row.get("ok") else "EXHAUSTED"
-            print(
-                f"  {row.get('name')}: {row.get('kind')} "
-                f"spent={row.get('budget_spent')} "
-                f"remaining={row.get('budget_remaining')}  {status}"
-            )
-        return 0
-
-    # Cluster event logs parse as (empty) metrics files — their header has
-    # a source — so they must be sniffed before the generic metrics branch.
-    event_log = _try_cluster_events(path)
-    if event_log is not None:
-        header, events, skipped = event_log
-        print(f"cluster event log: {len(events)} events "
-              f"({header.get('source', '?')})")
-        for key in ("topology", "seed", "duration_s", "nodes", "version"):
-            if header.get(key) is not None:
-                print(f"  {key}: {header[key]}")
-        killed = header.get("killed") or []
-        if killed:
-            print(f"  maliciously crashed: {', '.join(killed)}")
-        schedule = header.get("schedule") or {}
-        if schedule.get("events") is not None:
-            print(f"  scheduled faults: {len(schedule['events'])}")
-        counts = {}
-        for event in events:
-            kind = event.get("event", "?")
-            counts[kind] = counts.get(kind, 0) + 1
-        for kind in sorted(counts):
-            print(f"  {kind}: {counts[kind]}")
-        if skipped:
-            print(f"  skipped lines: {skipped} (truncated or foreign)")
-        return 0
-
-    # Flight dumps carry spans too, so sniff them before the span branch.
-    flight = _try_flight(path)
-    if flight is not None:
-        header = flight.header
-        print(f"flight dump: node {header.get('node', '?')} — "
-              f"reason {header.get('reason', '?')}")
-        for key in ("topology", "seed", "capacity", "dropped"):
-            if header.get(key) is not None:
-                print(f"  {key}: {header[key]}")
-        print(f"  spans: {len(flight.spans)}")
-        kinds: dict = {}
-        for record in flight.records:
-            label = record.get("event") or record.get("rec", "?")
-            kinds[label] = kinds.get(label, 0) + 1
-        print(f"  records: {len(flight.records)}")
-        for label in sorted(kinds):
-            print(f"    {label}: {kinds[label]}")
-        if flight.skipped:
-            print(f"  skipped lines: {flight.skipped} (truncated or foreign)")
-        return 0
-
-    # Span and timeline artefacts carry a ``source`` header too, so they
-    # must also be sniffed before the generic metrics branch.
-    span_file = _try_spans(path)
-    if span_file is not None:
-        spans = span_file.spans
-        closed = sum(1 for s in spans if s.closed)
-        events = sum(len(s.events) for s in spans)
-        print(f"span log: {len(spans)} spans ({closed} closed, "
-              f"{events} events)")
-        for key in ("node", "topology", "seed"):
-            if span_file.header.get(key) is not None:
-                print(f"  {key}: {span_file.header[key]}")
-        names: dict = {}
-        for span in spans:
-            names[span.name] = names.get(span.name, 0) + 1
-        for name in sorted(names):
-            print(f"  {name}: {names[name]} spans")
-        if span_file.skipped:
-            print(f"  skipped lines: {span_file.skipped} "
-                  "(truncated or foreign)")
-        return 0
-
-    timeline = _try_timeline(path)
-    if timeline is not None:
-        nodes = timeline.header.get("nodes") or sorted(
-            {e.node for e in timeline.entries}
-        )
-        print(f"timeline: {len(timeline.entries)} entries across "
-              f"{len(nodes)} nodes")
-        for key in ("causality_ok", "matched_messages"):
-            if timeline.header.get(key) is not None:
-                print(f"  {key}: {timeline.header[key]}")
-        kinds: dict = {}
-        for entry in timeline.entries:
-            kinds[entry.ev] = kinds.get(entry.ev, 0) + 1
-        for kind in sorted(kinds):
-            print(f"  {kind}: {kinds[kind]}")
-        if timeline.skipped:
-            print(f"  skipped lines: {timeline.skipped} "
-                  "(truncated or foreign)")
-        return 0
-
-    metrics = read_metrics(path)
-    if metrics.metrics or metrics.header.get("source"):
-        print(f"metrics file: {len(metrics.metrics)} metrics")
-        for key in sorted(k for k in metrics.header if k not in ("format",)):
-            print(f"  {key}: {metrics.header[key]}")
-        for name, payload in metrics.metrics.items():
-            body = {k: v for k, v in payload.items() if k != "type"}
-            print(f"  {payload.get('type', '?'):9s} {name} = "
-                  + json.dumps(body, sort_keys=True))
-        return 0
-
-    records = read_records(path)
-    if records:
-        kinds = {}
-        durations = []
-        for record in records:
-            kinds[record.kind] = kinds.get(record.kind, 0) + 1
-            if record.duration_s is not None:
-                durations.append(record.duration_s)
-        print(f"campaign records: {len(records)}")
-        for kind in sorted(kinds):
-            print(f"  {kind}: {kinds[kind]} shards")
-        if durations:
-            print(
-                f"  duration_s: total {sum(durations):.3f}, "
-                f"mean {sum(durations) / len(durations):.3f}, "
-                f"max {max(durations):.3f}"
-            )
-        return 0
-
-    from .obs import read_trace
-    from .sim.errors import SimulationError
-
     try:
-        trace = read_trace(path)
-    except SimulationError:
-        raise SystemExit(
-            f"{path}: not a metrics, campaign-records, trace, or BENCH file"
-        ) from None
-    counts = {}
-    for event in trace.events:
-        counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-    header = trace.header
-    print(
-        f"trace file: {header.get('model')} / {header.get('algorithm')} on "
-        f"{header.get('topology')}, {header.get('steps_taken')} steps"
-    )
-    for kind in sorted(counts):
-        print(f"  {kind}: {counts[kind]} events")
-    print(f"  snapshots: {len(trace.snapshots)}")
+        kind = sniff(path)
+        if kind is None:
+            *names, last = KINDS
+            raise SystemExit(
+                f"{path}: not a {', '.join(names)}, or {last} file"
+            )
+        for line in KINDS[kind].summarize(KINDS[kind].read(path)):
+            print(line)
+    except BrokenPipeError:
+        raise  # downstream pager closed; handled quietly in main()
+    except (OSError, ValueError, KeyError, TypeError, SimulationError) as exc:
+        raise SystemExit(f"{path}: unreadable artefact ({exc})") from None
     return 0
-
-
-def _try_cluster_events(path: str):
-    """The parsed event log, or ``None`` if ``path`` is not one.
-
-    Event logs are JSONL whose first line is a header with a ``source``
-    from :data:`repro.net.cluster.EVENT_SOURCES` — checked on the first
-    line alone, so foreign files cost one readline.
-    """
-    from .net import EVENT_SOURCES, read_cluster_events
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = json.loads(handle.readline())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if (
-        not isinstance(first, dict)
-        or first.get("kind") != "header"
-        or first.get("source") not in EVENT_SOURCES
-    ):
-        return None
-    return read_cluster_events(path)
-
-
-def _first_header(path: str):
-    """The file's first line as a parsed JSONL header dict, else ``None``
-    — shared sniffing primitive: foreign files cost one readline."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = json.loads(handle.readline())
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(first, dict) or first.get("kind") != "header":
-        return None
-    return first
-
-
-def _try_spans(path: str):
-    """The parsed span artefact, or ``None`` if ``path`` is not one."""
-    from .obs import read_spans
-    from .obs.tracing import SPANS_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != SPANS_SOURCE:
-        return None
-    return read_spans(path)
-
-
-def _try_flight(path: str):
-    """The parsed flight dump, or ``None`` if ``path`` is not one."""
-    from .obs import read_flight
-    from .obs.flight import FLIGHT_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != FLIGHT_SOURCE:
-        return None
-    return read_flight(path)
-
-
-def _try_slo_report(path: str):
-    """The parsed SLO report document, or ``None`` if ``path`` is not one."""
-    from .obs import read_slo_report
-
-    try:
-        return read_slo_report(path)
-    except (OSError, ValueError):
-        return None
-
-
-def _try_timeline(path: str):
-    """The parsed timeline artefact, or ``None`` if ``path`` is not one."""
-    from .obs import read_timeline
-    from .obs.timeline import TIMELINE_SOURCE
-
-    first = _first_header(path)
-    if first is None or first.get("source") != TIMELINE_SOURCE:
-        return None
-    return read_timeline(path)
-
-
-def _try_loadgen(path: str):
-    """The parsed loadgen report, or ``None`` if ``path`` is not one."""
-    from .gateway import read_loadgen_report
-
-    try:
-        return read_loadgen_report(path)
-    except (OSError, ValueError):
-        return None
-
-
-def _try_bench(path: str):
-    """The parsed BENCH document, or ``None`` if ``path`` is not one.
-
-    BENCH files are single JSON documents (not JSONL), so a whole-file
-    parse distinguishes them from every line-oriented artefact cheaply —
-    JSONL with more than one line fails ``json.loads`` immediately.
-    """
-    from .perf import read_bench
-
-    try:
-        return read_bench(path)
-    except ValueError:
-        return None
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -22,10 +22,10 @@ distribution — and therefore any percentile — to within 1/cap.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Mapping
+
+from ..artefact import read_document, write_document
 
 LOADGEN_FORMAT_VERSION = 1
 LOADGEN_REPORT_KIND = "loadgen-report"
@@ -86,34 +86,53 @@ def build_report(spec: Dict[str, Any], results: Dict[str, Any]) -> Dict[str, Any
 
 def write_loadgen_report(path: Path | str, report: Dict[str, Any]) -> Path:
     """The byte-stable report document (atomic replace, fsynced)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(_canonical(report), sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_document(path, _canonical(report))
 
 
 def read_loadgen_report(path: Path | str) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != LOADGEN_REPORT_KIND:
-        raise ValueError(f"{path}: not a loadgen-report document")
-    if not isinstance(doc.get("format"), int):
-        raise ValueError(f"{path}: loadgen-report without a format version")
-    if doc["format"] > LOADGEN_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: loadgen-report format {doc['format']} is newer than "
-            f"this tool ({LOADGEN_FORMAT_VERSION})"
-        )
+    doc = read_document(path, LOADGEN_REPORT_KIND, LOADGEN_FORMAT_VERSION)
     if not isinstance(doc.get("results"), dict):
         raise ValueError(f"{path}: loadgen-report without results")
     return doc
+
+
+def summarize_loadgen_report(report: Mapping[str, Any]) -> Iterator[str]:
+    """The ``repro stats`` summary of a report document."""
+    spec = report.get("spec") or {}
+    results = report.get("results") or {}
+    lat = results.get("latency") or {}
+    fair = results.get("fairness") or {}
+    safety = results.get("safety") or {}
+    yield (
+        f"loadgen report [{spec.get('engine', '?')}]: "
+        f"{spec.get('topology', '?')} seed={spec.get('seed', '?')} "
+        f"clients={spec.get('clients', '?')} "
+        f"mode={spec.get('mode', '?')}"
+    )
+    yield (
+        f"  grants: {results.get('grants', 0)}, "
+        f"shed {results.get('shed_total', 0)}, "
+        f"retries {results.get('retries', 0)}, "
+        f"failures {results.get('failures', 0)}"
+    )
+    if lat.get("count"):
+        yield (
+            f"  latency: p50={lat.get('p50_s')}s "
+            f"p99={lat.get('p99_s')}s p999={lat.get('p999_s')}s "
+            f"(n={lat.get('count')})"
+        )
+    yield (
+        f"  fairness: grant_count_cv={fair.get('grant_count_cv')} "
+        f"granted={fair.get('clients_granted')}/"
+        f"{fair.get('clients_active')}"
+    )
+    if safety.get("mode") == "live":
+        verdict = "OK" if not safety.get("violations") else (
+            f"VIOLATED ({safety['violations']} overlaps)"
+        )
+        yield f"  safety: {verdict}"
+    per_node = results.get("per_node") or {}
+    for label in sorted(per_node):
+        doc = per_node[label]
+        yield f"  node {label}: {doc.get('grants', 0)} grants, p99={doc.get('p99_s')}s"

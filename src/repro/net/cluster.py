@@ -20,14 +20,15 @@
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
+from ..artefact import canonical_json, read_jsonl, write_jsonl
 from ..mp.diners_mp import DinersMpProcess
 from ..obs.bus import EventBus
 from ..obs.events import NetEventKind
@@ -42,8 +43,6 @@ from .chaos import ChaosController, ChaosSchedule, LinkProxy, build_schedule
 from .node import LockDinerProcess, NodeServer
 
 EVENTS_FORMAT_VERSION = 1
-#: ``source`` values of the cluster event-log artefact family.
-EVENT_SOURCES = ("cluster-events", "soak-events")
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,7 @@ class ClusterSupervisor:
         if self._stream_handle is not None:
             try:
                 self._stream_handle.write(
-                    json.dumps({"kind": "event", **row},
-                               sort_keys=True, separators=(",", ":")) + "\n"
+                    canonical_json({"kind": "event", **row}) + "\n"
                 )
                 self._stream_handle.flush()
             except (OSError, ValueError):
@@ -393,9 +391,7 @@ class ClusterSupervisor:
             "seed": self.config.seed,
             "provisional": True,  # the post-run write replaces this file
         }
-        handle.write(
-            json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-        )
+        handle.write(canonical_json(header) + "\n")
         handle.flush()
         return handle
 
@@ -1013,36 +1009,34 @@ def read_cluster_events(
     lines are counted, not fatal — a soak cut short by a crash leaves a
     truncated tail, and the summary should still come out.
     """
-    header: Dict[str, Any] = {}
-    events: List[Dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "event":
-                events.append(row)
-            else:
-                skipped += 1
-    return header, events, skipped
+    return read_jsonl(path, lambda row: row if row.get("kind") == "event" else None)
+
+
+def summarize_cluster_events(
+    parsed: tuple[Dict[str, Any], List[Dict[str, Any]], int],
+) -> Iterator[str]:
+    """The ``repro stats`` summary of an event log."""
+    header, events, skipped = parsed
+    yield f"cluster event log: {len(events)} events ({header.get('source', '?')})"
+    for key in ("topology", "seed", "duration_s", "nodes", "version"):
+        if header.get(key) is not None:
+            yield f"  {key}: {header[key]}"
+    killed = header.get("killed") or []
+    if killed:
+        yield f"  maliciously crashed: {', '.join(killed)}"
+    schedule = header.get("schedule") or {}
+    if schedule.get("events") is not None:
+        yield f"  scheduled faults: {len(schedule['events'])}"
+    for kind, count in sorted(Counter(e.get("event", "?") for e in events).items()):
+        yield f"  {kind}: {count}"
+    if skipped:
+        yield f"  skipped lines: {skipped} (truncated or foreign)"
 
 
 def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
     """The event-log artefact: header (with the fault schedule), then one
     line per observed event in time order."""
     source = "soak-events" if result.mode == "soak" else "cluster-events"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = {
         "format": EVENTS_FORMAT_VERSION,
         "kind": "header",
@@ -1053,19 +1047,6 @@ def write_cluster_events(path: Path | str, result: ClusterResult) -> Path:
         "restarts": result.restarts,
         "convergence_s": result.convergence_s,
     }
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for event in result.events:
-            handle.write(
-                json.dumps(
-                    {"kind": "event", **event},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_jsonl(
+        path, header, ({"kind": "event", **event} for event in result.events)
+    )

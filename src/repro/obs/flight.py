@@ -13,9 +13,9 @@ A dump is a self-contained ``flight-<node>.jsonl``: a header naming the
 trigger, the node's recent spans (so ``repro timeline`` can merge the
 black boxes into a causally ordered walk-back — its merge tolerates the
 truncated window because unmatched sends are skipped, not fatal), then
-the ring's records oldest-first.  The write path is the same
-tmp + flush + fsync + atomic-replace sequence as
-:func:`repro.obs.tracing.write_spans`, so a dump racing a SIGKILL still
+the ring's records oldest-first.  The write path is the shared
+tmp + flush + fsync + atomic-replace sequence of
+:func:`repro.artefact.write_atomic`, so a dump racing a SIGKILL still
 leaves a complete file or none, never a torn one.
 
 Recording must be cheap enough to stay armed always: one dict build and
@@ -27,13 +27,13 @@ the ``engine/steps/ring16`` and ``net/codec/roundtrip`` kernels
 
 from __future__ import annotations
 
-import json
-import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
+from ..artefact import read_jsonl, write_jsonl
 from .tracing import Span, span_from_json
 
 FLIGHT_FORMAT_VERSION = 1
@@ -139,8 +139,6 @@ def dump_flight(
     tracing is on; its most recent ``capacity`` spans ride along so the
     dump merges into a timeline without the full span artefact.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     spans = [] if tracer is None else list(tracer.spans)[-recorder.capacity:]
     head: Dict[str, Any] = {
         "format": FLIGHT_FORMAT_VERSION,
@@ -155,49 +153,45 @@ def dump_flight(
     }
     if header:
         head.update(header)
-    canonical = dict(sort_keys=True, separators=(",", ":"))
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **canonical) + "\n")
-        for span in spans:
-            handle.write(json.dumps(span.to_json(), **canonical) + "\n")
-        for record in recorder.records():
-            handle.write(
-                json.dumps({"kind": "record", **record}, **canonical) + "\n"
-            )
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_jsonl(
+        path,
+        head,
+        chain(
+            (span.to_json() for span in spans),
+            ({"kind": "record", **record} for record in recorder.records()),
+        ),
+    )
 
 
 def read_flight(path: Path | str) -> FlightFile:
     """Parse a flight dump leniently: bad lines are counted, not fatal."""
-    header: Dict[str, Any] = {}
-    spans: List[Span] = []
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "record":
-                records.append({k: v for k, v in row.items() if k != "kind"})
-            else:
-                span = span_from_json(row)
-                if span is None:
-                    skipped += 1
-                else:
-                    spans.append(span)
-    return FlightFile(header=header, spans=spans, records=records,
-                      skipped=skipped)
+    header, rows, skipped = read_jsonl(path, _flight_row)
+    return FlightFile(
+        header=header,
+        spans=[row for row in rows if isinstance(row, Span)],
+        records=[row for row in rows if isinstance(row, dict)],
+        skipped=skipped,
+    )
+
+
+def _flight_row(row: Dict[str, Any]) -> "Span | Dict[str, Any] | None":
+    if row.get("kind") == "record":
+        return {k: v for k, v in row.items() if k != "kind"}
+    return span_from_json(row)
+
+
+def summarize_flight(flight: FlightFile) -> Iterator[str]:
+    """The ``repro stats`` summary of a flight dump."""
+    header = flight.header
+    yield (f"flight dump: node {header.get('node', '?')} — "
+           f"reason {header.get('reason', '?')}")
+    for key in ("topology", "seed", "capacity", "dropped"):
+        if header.get(key) is not None:
+            yield f"  {key}: {header[key]}"
+    yield f"  spans: {len(flight.spans)}"
+    yield f"  records: {len(flight.records)}"
+    labels = Counter(r.get("event") or r.get("rec", "?") for r in flight.records)
+    for label, count in sorted(labels.items()):
+        yield f"    {label}: {count}"
+    if flight.skipped:
+        yield f"  skipped lines: {flight.skipped} (truncated or foreign)"

@@ -20,18 +20,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from ..artefact import canonical_json, read_jsonl, write_atomic
+
 METRICS_FORMAT_VERSION = 1
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
-
-
-def _canonical(payload: Any) -> str:
-    return json.dumps(payload, **_CANONICAL)
 
 
 def percentile_of_sorted(values: List[float], q: float) -> float:
@@ -315,9 +310,9 @@ def metrics_lines(
     head: Dict[str, Any] = {"format": METRICS_FORMAT_VERSION, "kind": "header"}
     if header:
         head.update(header)
-    yield _canonical(head)
+    yield canonical_json(head)
     for name, payload in registry.snapshot(include_meta=include_meta).items():
-        yield _canonical({"kind": "metric", "name": name, **payload})
+        yield canonical_json({"kind": "metric", "name": name, **payload})
 
 
 def write_metrics(
@@ -329,16 +324,9 @@ def write_metrics(
 ) -> Path:
     """Write the registry to ``path`` (parents created, atomic replace,
     fsynced — a teardown racing a SIGKILL keeps the artefact tail)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        for line in metrics_lines(registry, header=header, include_meta=include_meta):
-            handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_atomic(
+        path, metrics_lines(registry, header=header, include_meta=include_meta)
+    )
 
 
 @dataclass(frozen=True)
@@ -357,35 +345,28 @@ def read_metrics(path: Path | str) -> MetricsFile:
     Unknown or truncated lines are counted, not fatal — the same tolerance
     the campaign checkpoint loader applies.
     """
-    path = Path(path)
-    header: Dict[str, Any] = {}
-    metrics: Dict[str, Dict[str, Any]] = {}
-    skipped = 0
-    with path.open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if not isinstance(payload, dict):
-                skipped += 1
-                continue
-            if payload.get("kind") == "header":
-                if payload.get("format") != METRICS_FORMAT_VERSION:
-                    skipped += 1
-                    continue
-                header = {
-                    k: v for k, v in payload.items() if k not in ("kind",)
-                }
-            elif payload.get("kind") == "metric" and "name" in payload:
-                name = payload["name"]
-                metrics[name] = {
-                    k: v for k, v in payload.items() if k not in ("kind", "name")
-                }
-            else:
-                skipped += 1
-    return MetricsFile(header=header, metrics=metrics, skipped=skipped)
+    header, rows, skipped = read_jsonl(path, _metric_row)
+    if header and header.get("format") != METRICS_FORMAT_VERSION:
+        header, skipped = {}, skipped + 1
+    return MetricsFile(
+        header={k: v for k, v in header.items() if k != "kind"},
+        metrics=dict(rows),
+        skipped=skipped,
+    )
+
+
+def _metric_row(row: Dict[str, Any]) -> Optional[Tuple[str, Dict[str, Any]]]:
+    if row.get("kind") != "metric" or "name" not in row:
+        return None
+    return row["name"], {k: v for k, v in row.items() if k not in ("kind", "name")}
+
+
+def summarize_metrics(metrics: MetricsFile) -> Iterator[str]:
+    """The ``repro stats`` summary of a metrics file."""
+    yield f"metrics file: {len(metrics.metrics)} metrics"
+    for key in sorted(k for k in metrics.header if k not in ("format",)):
+        yield f"  {key}: {metrics.header[key]}"
+    for name, payload in metrics.metrics.items():
+        body = {k: v for k, v in payload.items() if k != "type"}
+        yield (f"  {payload.get('type', '?'):9s} {name} = "
+               + json.dumps(body, sort_keys=True))

@@ -34,13 +34,12 @@ controller actuates on these verdicts instead of raw metrics.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..artefact import KINDS, read_document, sniff, write_document
 from .metrics import percentile_of_sorted
 
 SLO_FORMAT_VERSION = 1
@@ -60,8 +59,6 @@ OBJECTIVE_KINDS = (
 
 #: Span names whose lifecycle measures lock-acquire latency.
 _WAIT_SPANS = ("acquire", "hunger")
-
-_CANONICAL: Dict[str, Any] = {"sort_keys": True, "separators": (",", ":")}
 
 
 def _round6(value: Optional[float]) -> Optional[float]:
@@ -186,15 +183,20 @@ class SloSpec:
 
 def read_slo_spec(path: Path | str) -> SloSpec:
     """Load and validate a spec file; :class:`ValueError` names the path."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    doc = read_document(path, SLO_SPEC_KIND, SLO_FORMAT_VERSION)
     try:
         return SloSpec.from_json(doc)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def summarize_slo_spec(spec: SloSpec) -> Iterator[str]:
+    """The ``repro stats`` summary of a spec file."""
+    yield f"SLO spec: {spec.name} ({len(spec.objectives)} objectives)"
+    for o in spec.objectives:
+        threshold = "" if o.threshold is None else f" threshold={o.threshold}"
+        yield (f"  {o.name}: {o.kind}{threshold} target={o.target} "
+               f"window={o.window_s}s{' hard' if o.hard else ''}")
 
 
 # ----------------------------------------------------------- observations
@@ -637,28 +639,28 @@ def evaluate(spec: SloSpec, obs: SloObservations) -> SloReport:
 
 def write_slo_report(path: Path | str, report: SloReport) -> Path:
     """The byte-stable report document (atomic replace, fsynced)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_document(path, report.to_json())
 
 
 def read_slo_report(path: Path | str) -> Dict[str, Any]:
     """Parse a report document; :class:`ValueError` if it is not one."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: not valid JSON") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != SLO_REPORT_KIND:
-        raise ValueError(f"{path}: not an slo-report document")
-    return doc
+    return read_document(path, SLO_REPORT_KIND, SLO_FORMAT_VERSION)
+
+
+def summarize_slo_report(report: Mapping[str, Any]) -> Iterator[str]:
+    """The ``repro stats`` summary of a report document."""
+    verdict = "OK" if report.get("ok") else "EXHAUSTED"
+    objectives = report.get("objectives") or []
+    yield (f"SLO report: {report.get('spec', '?')} — {verdict} "
+           f"({len(objectives)} objectives, "
+           f"window {report.get('duration_s')}s)")
+    for key, value in sorted((report.get("observations") or {}).items()):
+        yield f"  {key}: {value}"
+    for row in objectives:
+        status = "ok" if row.get("ok") else "EXHAUSTED"
+        yield (f"  {row.get('name')}: {row.get('kind')} "
+               f"spent={row.get('budget_spent')} "
+               f"remaining={row.get('budget_remaining')}  {status}")
 
 
 def format_report(report: SloReport) -> str:
@@ -835,53 +837,41 @@ class LiveSloEvaluator:
 # --------------------------------------------------------- artefact intake
 
 
+#: Artefact kind -> the family name ``repro slo`` reports ingesting.
+_FAMILIES = {
+    "cluster-events": "events",
+    "spans": "spans",
+    "flight": "flight",
+    "metrics": "metrics",
+    "loadgen-report": "loadgen",
+}
+
+
 def ingest_artefact(obs: SloObservations, path: Path | str) -> str:
-    """Sniff one artefact file and feed it into ``obs``.
+    """Sniff one artefact file (:func:`repro.artefact.sniff`) and feed it
+    into ``obs``.
 
     Returns the recognised family (``events`` / ``spans`` / ``flight`` /
     ``metrics`` / ``loadgen``); :class:`ValueError` if the file is none
     of them.
     """
-    from ..net.cluster import EVENT_SOURCES, read_cluster_events  # deferred
-    from ..gateway.report import read_loadgen_report
-    from .flight import FLIGHT_SOURCE
-    from .metrics import read_metrics
-    from .tracing import SPANS_SOURCE, read_spans
-
-    path = Path(path)
-    first: Dict[str, Any] = {}
     try:
-        with path.open("r", encoding="utf-8") as handle:
-            line = handle.readline().strip()
-        if line:
-            doc = json.loads(line)
-            if isinstance(doc, dict):
-                first = doc
-    except OSError:
-        raise ValueError(f"{path}: unreadable artefact")
-    except ValueError:
-        # Not JSONL. A loadgen report is a pretty-printed whole-file
-        # document, so its first line alone never parses — sniff for it
-        # before giving up.
-        try:
-            obs.add_loadgen(read_loadgen_report(path))
-        except ValueError:
-            raise ValueError(f"{path}: unreadable artefact") from None
-        return "loadgen"
-    source = first.get("source")
-    if first.get("kind") == "loadgen-report":
-        obs.add_loadgen(read_loadgen_report(path))
-        return "loadgen"
-    if source in EVENT_SOURCES:
-        header, events, _skipped = read_cluster_events(path)
+        kind = sniff(path)
+        family = _FAMILIES.get(kind)
+        parsed = None if family is None else KINDS[kind].read(path)
+    except (OSError, UnicodeDecodeError):
+        raise ValueError(f"{path}: unreadable artefact") from None
+    if family == "events":
+        header, events, _skipped = parsed
         obs.add_events(header, events)
-        return "events"
-    if source in (SPANS_SOURCE, FLIGHT_SOURCE):
-        span_file = read_spans(path)
-        obs.add_spans(span_file.spans)
-        return "flight" if source == FLIGHT_SOURCE else "spans"
-    metrics_file = read_metrics(path)
-    if metrics_file.metrics or "violations" in metrics_file.header:
-        obs.add_metrics(metrics_file.header, metrics_file.metrics)
-        return "metrics"
-    raise ValueError(f"{path}: not an SLO-evaluable artefact")
+    elif family in ("spans", "flight"):
+        obs.add_spans(parsed.spans)
+    elif family == "loadgen":
+        obs.add_loadgen(parsed)
+    elif family == "metrics" and (
+        parsed.metrics or "violations" in parsed.header
+    ):
+        obs.add_metrics(parsed.header, parsed.metrics)
+    else:
+        raise ValueError(f"{path}: not an SLO-evaluable artefact")
+    return family

@@ -24,20 +24,19 @@ byte-stable for a given set of span files.
 
 from __future__ import annotations
 
-import json
-import os
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from ..artefact import read_jsonl, write_jsonl
 from .tracing import Span
 
 TIMELINE_FORMAT_VERSION = 1
 #: ``source`` value of the timeline artefact.
 TIMELINE_SOURCE = "timeline"
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -359,8 +358,6 @@ def write_timeline(
 ) -> Path:
     """The merged timeline as canonical JSONL — byte-stable for a given
     span-file set, which the CI trace-smoke job enforces with ``cmp``."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     nodes = sorted({entry.node for entry in entries})
     head: Dict[str, Any] = {
         "format": TIMELINE_FORMAT_VERSION,
@@ -371,49 +368,41 @@ def write_timeline(
     }
     if header:
         head.update(header)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **_CANONICAL) + "\n")
-        for entry in entries:
-            handle.write(json.dumps(entry.to_json(), **_CANONICAL) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_jsonl(path, head, (entry.to_json() for entry in entries))
 
 
 def read_timeline(path: Path | str) -> TimelineFile:
     """Parse a timeline artefact leniently (bad lines counted, not fatal)."""
-    header: Dict[str, Any] = {}
-    entries: List[TimelineEntry] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "entry" and isinstance(row.get("lc"), int):
-                entries.append(
-                    TimelineEntry(
-                        lc=row["lc"],
-                        node=str(row.get("node", "?")),
-                        seq=int(row.get("seq") or 0),
-                        span=str(row.get("span", "?")),
-                        name=str(row.get("name", "?")),
-                        ev=str(row.get("ev", "?")),
-                        t=float(row.get("t") or 0.0),
-                        detail=dict(row.get("detail") or {}),
-                    )
-                )
-            else:
-                skipped += 1
+    header, entries, skipped = read_jsonl(path, _timeline_row)
     return TimelineFile(header=header, entries=entries, skipped=skipped)
+
+
+def _timeline_row(row: Dict[str, Any]) -> Optional[TimelineEntry]:
+    if row.get("kind") != "entry" or not isinstance(row.get("lc"), int):
+        return None
+    return TimelineEntry(
+        lc=row["lc"],
+        node=str(row.get("node", "?")),
+        seq=int(row.get("seq") or 0),
+        span=str(row.get("span", "?")),
+        name=str(row.get("name", "?")),
+        ev=str(row.get("ev", "?")),
+        t=float(row.get("t") or 0.0),
+        detail=dict(row.get("detail") or {}),
+    )
+
+
+def summarize_timeline(timeline: TimelineFile) -> Iterator[str]:
+    """The ``repro stats`` summary of a merged timeline."""
+    nodes = timeline.header.get("nodes") or sorted(
+        {e.node for e in timeline.entries}
+    )
+    yield (f"timeline: {len(timeline.entries)} entries across "
+           f"{len(nodes)} nodes")
+    for key in ("causality_ok", "matched_messages"):
+        if timeline.header.get(key) is not None:
+            yield f"  {key}: {timeline.header[key]}"
+    for ev, count in sorted(Counter(e.ev for e in timeline.entries).items()):
+        yield f"  {ev}: {count}"
+    if timeline.skipped:
+        yield f"  skipped lines: {timeline.skipped} (truncated or foreign)"

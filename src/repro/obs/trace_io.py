@@ -22,10 +22,12 @@ and metrics byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..artefact import canonical_json, write_atomic
 from ..sim.configuration import Configuration
 from ..sim.errors import SimulationError
 from ..sim.serialize import decode_literal, encode_literal, from_json, to_json
@@ -35,8 +37,6 @@ from .metrics import MetricsRegistry, write_metrics
 from .probes import Probe, standard_probes
 
 TRACE_FORMAT_VERSION = 1
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 #: Every event kind either engine publishes, keyed by wire value.
 _KINDS: Dict[str, Any] = {
@@ -135,7 +135,7 @@ def event_to_line(event: TraceEvent) -> str:
     }
     if event.payload is not None:
         record["payload"] = _encode_payload(event.payload)
-    return json.dumps(record, **_CANONICAL)
+    return canonical_json(record)
 
 
 def event_from_payload(record: Mapping[str, Any]) -> TraceEvent:
@@ -157,26 +157,22 @@ def event_from_payload(record: Mapping[str, Any]) -> TraceEvent:
 
 
 def write_trace(path: Path | str, trace: Trace) -> Path:
-    """Write one trace as JSONL (parents created, atomic replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(dict(trace.header), **_CANONICAL) + "\n")
-        for event in trace.events:
-            handle.write(event_to_line(event) + "\n")
-        for step, config in trace.snapshots:
-            line = json.dumps(
-                {
-                    "kind": "snapshot",
-                    "step": step,
-                    "config": json.loads(to_json(config, indent=None)),
-                },
-                **_CANONICAL,
-            )
-            handle.write(line + "\n")
-    tmp.replace(path)
-    return path
+    """Write one trace as JSONL (parents created, atomic replace, fsynced)."""
+    return write_atomic(path, _trace_lines(trace))
+
+
+def _trace_lines(trace: Trace) -> Iterator[str]:
+    yield canonical_json(dict(trace.header))
+    for event in trace.events:
+        yield event_to_line(event)
+    for step, config in trace.snapshots:
+        yield canonical_json(
+            {
+                "kind": "snapshot",
+                "step": step,
+                "config": json.loads(to_json(config, indent=None)),
+            }
+        )
 
 
 def read_trace(path: Path | str) -> Trace:
@@ -228,6 +224,19 @@ def read_trace(path: Path | str) -> Trace:
     )
 
 
+def summarize_trace(trace: Trace) -> Iterator[str]:
+    """The ``repro stats`` summary of a trace file."""
+    header = trace.header
+    yield (
+        f"trace file: {header.get('model')} / {header.get('algorithm')} on "
+        f"{header.get('topology')}, {header.get('steps_taken')} steps"
+    )
+    counts = Counter(event.kind.value for event in trace.events)
+    for kind, count in sorted(counts.items()):
+        yield f"  {kind}: {count} events"
+    yield f"  snapshots: {len(trace.snapshots)}"
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -241,7 +250,7 @@ class TraceAnalysis:
     summary: Dict[str, Any] = field(default_factory=dict)
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary, **_CANONICAL)
+        return canonical_json(self.summary)
 
 
 def analyze(

@@ -23,19 +23,18 @@ contracts; the deterministic part of a trace is its *order* — the
 
 from __future__ import annotations
 
-import json
-import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+
+from ..artefact import read_jsonl, write_jsonl
 
 SPANS_FORMAT_VERSION = 1
 #: ``source`` value of the span artefact family.
 SPANS_SOURCE = "spans"
 #: Span name of the per-incarnation root span catching ambient traffic.
 ROOT_SPAN = "node"
-
-_CANONICAL = dict(sort_keys=True, separators=(",", ":"))
 
 
 class LamportClock:
@@ -271,8 +270,6 @@ def write_spans(
     else:
         rows = list(spans)
         node = rows[0].node if rows else "?"
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     head: Dict[str, Any] = {
         "format": SPANS_FORMAT_VERSION,
         "kind": "header",
@@ -282,40 +279,25 @@ def write_spans(
     }
     if header:
         head.update(header)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, **_CANONICAL) + "\n")
-        for span in rows:
-            handle.write(json.dumps(span.to_json(), **_CANONICAL) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    tmp.replace(path)
-    return path
+    return write_jsonl(path, head, (span.to_json() for span in rows))
 
 
 def read_spans(path: Path | str) -> SpanFile:
     """Parse a span artefact leniently: bad lines are counted, not fatal."""
-    header: Dict[str, Any] = {}
-    spans: List[Span] = []
-    skipped = 0
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(row, dict):
-                skipped += 1
-            elif row.get("kind") == "header":
-                header = row
-            else:
-                span = span_from_json(row)
-                if span is None:
-                    skipped += 1
-                else:
-                    spans.append(span)
+    header, spans, skipped = read_jsonl(path, span_from_json)
     return SpanFile(header=header, spans=spans, skipped=skipped)
+
+
+def summarize_spans(span_file: SpanFile) -> Iterator[str]:
+    """The ``repro stats`` summary of a span log."""
+    spans = span_file.spans
+    closed = sum(1 for s in spans if s.closed)
+    events = sum(len(s.events) for s in spans)
+    yield f"span log: {len(spans)} spans ({closed} closed, {events} events)"
+    for key in ("node", "topology", "seed"):
+        if span_file.header.get(key) is not None:
+            yield f"  {key}: {span_file.header[key]}"
+    for name, count in sorted(Counter(span.name for span in spans).items()):
+        yield f"  {name}: {count} spans"
+    if span_file.skipped:
+        yield f"  skipped lines: {span_file.skipped} (truncated or foreign)"

@@ -16,7 +16,6 @@ the honest first-order signal.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import subprocess
@@ -24,8 +23,9 @@ import time
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
 
+from ..artefact import read_document, write_document
 from .bench import BenchResult
 
 BENCH_FORMAT_VERSION = 1
@@ -86,16 +86,8 @@ def write_bench(
     options: Optional[Mapping[str, Any]] = None,
     env: Optional[Mapping[str, Any]] = None,
 ) -> Path:
-    """Write a BENCH document (parents created, atomic replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = bench_payload(results, options=options, env=env)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    tmp.replace(path)
-    return path
+    """Write a BENCH document (parents created, atomic replace, fsynced)."""
+    return write_document(path, bench_payload(results, options=options, env=env))
 
 
 def read_bench(path: Path | str) -> Dict[str, Any]:
@@ -104,20 +96,24 @@ def read_bench(path: Path | str) -> Dict[str, Any]:
     Raises ``ValueError`` with a one-line reason on anything that is not a
     version-matched BENCH file — the CLI turns that into a clean exit.
     """
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON ({exc.msg})") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "bench":
-        raise ValueError(f"{path}: not a BENCH file")
-    if payload.get("format") != BENCH_FORMAT_VERSION:
-        raise ValueError(
-            f"{path}: unsupported BENCH format {payload.get('format')!r}"
-        )
+    payload = read_document(path, "bench", BENCH_FORMAT_VERSION)
     if not isinstance(payload.get("benchmarks"), dict):
         raise ValueError(f"{path}: BENCH file has no benchmarks table")
     return payload
+
+
+def summarize_bench(bench: Mapping[str, Any]) -> Iterator[str]:
+    """The ``repro stats`` summary of a BENCH document."""
+    env = bench.get("env", {})
+    benchmarks = bench["benchmarks"]
+    yield f"BENCH file: {len(benchmarks)} benchmarks"
+    for key in ("git_rev", "python", "platform", "cpu_count", "timestamp"):
+        if env.get(key) is not None:
+            yield f"  {key}: {env[key]}"
+    for name in sorted(benchmarks):
+        stats = benchmarks[name].get("stats", {})
+        yield (f"  {name}: median {stats.get('median_s')}s, "
+               f"iqr {stats.get('iqr_s')}s, min {stats.get('min_s')}s")
 
 
 # ----------------------------------------------------------------- compare

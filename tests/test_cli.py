@@ -331,10 +331,13 @@ class TestStatsHardening:
         assert str(junk) in message
 
     def test_unrecognised_jsonl_schema(self, tmp_path):
+        from repro.artefact import KINDS
+
         foreign = tmp_path / "foreign.jsonl"
         foreign.write_text('{"hello": 1}\n{"kind": "mystery"}\n')
         message = self._exit_message(["stats", str(foreign)])
         assert "not a metrics" in message
+        assert all(kind in message for kind in KINDS)
 
     def test_missing_file(self, tmp_path):
         message = self._exit_message(["stats", str(tmp_path / "absent")])
@@ -623,18 +626,6 @@ class TestSloCli:
         with pytest.raises(SystemExit):
             main(["slo", f"{self.FIXTURES}/spec.json", str(empty)])
 
-    def test_stats_sniffs_slo_report(self, tmp_path, capsys):
-        report = tmp_path / "slo-report.json"
-        main([
-            "slo", f"{self.FIXTURES}/spec.json",
-            f"{self.FIXTURES}/violation.events", "--out", str(report),
-        ])
-        capsys.readouterr()
-        assert main(["stats", str(report)]) == 0
-        out = capsys.readouterr().out
-        assert "SLO report:" in out
-        assert "EXHAUSTED" in out
-
     def _flight_dump(self, tmp_path):
         from repro.obs import FlightRecorder, dump_flight
         from repro.obs.tracing import SpanRecorder
@@ -650,13 +641,6 @@ class TestSloCli:
             tmp_path / "flight-2.jsonl", recorder, reason="soak-violation",
             tracer=tracer, header={"topology": "ring:3", "seed": 7},
         )
-
-    def test_stats_sniffs_flight_dump(self, tmp_path, capsys):
-        path = self._flight_dump(tmp_path)
-        assert main(["stats", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "flight dump:" in out
-        assert "soak-violation" in out
 
     def test_timeline_ingests_flight_dump(self, tmp_path, capsys):
         path = self._flight_dump(tmp_path)
